@@ -542,7 +542,7 @@ func (s *server) buildRun(req *jobRequest, p eval.Params) (label, key string, ta
 				return nil, err
 			}
 			var buf strings.Builder
-			if err := tr.WriteChromeTrace(&buf); err != nil {
+			if err := eval.WriteChromeTrace(&buf, tr); err != nil {
 				return nil, err
 			}
 			s.countRun(cfgName)
@@ -575,9 +575,10 @@ type runResult struct {
 // worker endpoint internal/exec.Fleet dispatches to. The cell runs
 // through the scheduler under the same content-address exec.Local would
 // use, so repeats are answered from cache and concurrent identical cells
-// coalesce. Cells always run on this worker's own pool, never through
-// the coordinator backend — a worker forwarding its cells back out would
-// loop.
+// coalesce, and behind that cache sits the same store read-through
+// (exec.CellTask) exec.Local runs. Cells always run on this worker's own
+// pool, never through the coordinator backend — a worker forwarding its
+// cells back out would loop.
 func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 	var c eval.Cell
 	dec := json.NewDecoder(r.Body)
@@ -594,33 +595,16 @@ func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, notFound(err))
 		return
 	}
-	label := fmt.Sprintf("cell %s/%s", c.Workload, c.Config.Name())
 	cfgName := c.Config.Name()
+	label := "cell " + c.Workload + "/" + cfgName
 	key := sched.Key("cell", c)
-	j, err := s.sched.Submit(label, key, func(ctx context.Context) (any, error) {
-		// The persistent store sits behind the scheduler cache: a stored
-		// result decodes without simulating (and still gets promoted into
-		// the LRU), a fresh one is written back for restarts and peers.
-		if s.store != nil {
-			if b, ok, _ := s.store.Get(key); ok {
-				var res eval.Result
-				if err := json.Unmarshal(b, &res); err == nil {
-					return res, nil
-				}
-			}
-		}
+	j, err := s.sched.Submit(label, key, exec.CellTask(s.store, key, func(ctx context.Context) (eval.Result, error) {
 		res, err := eval.RunCell(ctx, c, s.probe)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			s.countRun(cfgName)
 		}
-		if s.store != nil {
-			if b, err := json.Marshal(res); err == nil {
-				s.store.Put(key, b)
-			}
-		}
-		s.countRun(cfgName)
-		return res, nil
-	})
+		return res, err
+	}))
 	if err != nil {
 		writeErr(w, r, err)
 		return

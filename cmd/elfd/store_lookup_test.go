@@ -52,14 +52,18 @@ func TestCellLookup(t *testing.T) {
 
 	// Store-backed: a server holding only a pre-filled store (its
 	// scheduler has run nothing) serves the stored bytes verbatim.
-	mem := store.NewMem(store.MemConfig{})
+	disk, err := store.Open(store.DiskConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
 	stored := eval.Result{Workload: "641.leela_s", Config: "DCF", IPC: 1.25, Committed: 42}
 	b, err := json.Marshal(stored)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := sched.Key("cell", c)
-	if err := mem.Put(key, b); err != nil {
+	if err := disk.Put(key, b); err != nil {
 		t.Fatal(err)
 	}
 	s2 := sched.New(sched.Config{Workers: 1, QueueDepth: 8})
@@ -68,7 +72,7 @@ func TestCellLookup(t *testing.T) {
 		defer cancel()
 		s2.Shutdown(ctx)
 	})
-	srv2 := newServer(s2, eval.Params{Warmup: 1_000, Measure: 4_000}, serverOptions{Store: mem})
+	srv2 := newServer(s2, eval.Params{Warmup: 1_000, Measure: 4_000}, serverOptions{Store: disk})
 	rec, got = doJSON(t, srv2, "GET", "/v1/cells/"+key, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("store-backed lookup: %d %s", rec.Code, rec.Body.String())

@@ -214,7 +214,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := tr.WriteChromeTrace(f); err != nil {
+		if err := eval.WriteChromeTrace(f, tr); err != nil {
 			f.Close()
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

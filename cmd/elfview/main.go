@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"elfetch/internal/core"
+	"elfetch/internal/eval"
 	"elfetch/internal/obs"
 	"elfetch/internal/pipeline"
 	"elfetch/internal/workload"
@@ -134,7 +135,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := tr.WriteChromeTrace(f); err != nil {
+		if err := eval.WriteChromeTrace(f, tr); err != nil {
 			f.Close()
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -123,9 +123,6 @@ type Backend struct {
 	// entry at commitLimit (and younger) may not retire this cycle.
 	commitLimit uint64
 
-	// Trace enables debug prints (tests only).
-	Trace bool
-
 	// Stats.
 	Committed       uint64
 	ForwardedLoads  uint64
@@ -423,9 +420,6 @@ func (b *Backend) checkStoreOrderViolation(store *robEntry) {
 }
 
 func (b *Backend) raiseBranchResolution(e *robEntry) {
-	if b.Trace {
-		println("RAISE resolution id", e.id, "fid", e.u.FetchID, "pc", uint64(e.u.PC))
-	}
 	kind := uop.FlushBranch
 	if e.u.SI.Class.IsIndirect() || (e.u.PredTaken && e.u.ActTaken && e.u.PredTarget != e.u.ActTarget) {
 		kind = uop.FlushTarget
@@ -535,13 +529,6 @@ func (b *Backend) Commit(now uint64) {
 		if e.state != stDone {
 			return
 		}
-		if b.Trace && !e.u.WrongPath {
-			for i := 0; i < b.pendingResolutions.Len(); i++ {
-				if r := b.pendingResolutions.At(i); r.ID == e.id {
-					println("COMMIT-PENDING id", e.id, "fid", e.u.FetchID, "kind", int(r.Kind))
-				}
-			}
-		}
 		if e.u.SI.Class.IsMemory() {
 			b.lsqCount--
 		}
@@ -575,9 +562,6 @@ func (b *Backend) OldestResolution() *Resolution {
 		r := b.pendingResolutions.Front()
 		e := b.slot(r.ID)
 		if r.ID < b.robHead || e.id != r.ID || e.u.FetchID != r.U.FetchID {
-			if b.Trace {
-				println("DROP resolution id", r.ID, "fid", r.U.FetchID, "head", b.robHead)
-			}
 			b.pendingResolutions.PopFront()
 			continue
 		}
@@ -683,9 +667,6 @@ func (b *Backend) SquashFrom(boundary uint64) {
 	}
 }
 
-// SquashAll empties the window.
-func (b *Backend) SquashAll() { b.SquashFrom(b.robHead) }
-
 // HeadID returns the oldest in-flight absolute id (== NextID when empty).
 func (b *Backend) HeadID() uint64 { return b.robHead }
 
@@ -739,17 +720,6 @@ func (b *Backend) FirstCoupledAfter(gen uint64, idx int) (uint64, bool) {
 	}
 	return 0, false
 }
-
-// DumpWindow describes in-flight entries (debug).
-func (b *Backend) DumpWindow(f func(id uint64, pc uint64, class string, state uint8, pending int8, mdpWait int64, doneAt uint64, wrong bool)) {
-	for id := b.robHead; id < b.robTail; id++ {
-		e := b.slot(id)
-		f(id, uint64(e.u.PC), e.u.SI.Class.String(), e.state, e.pending, e.mdpWait, e.doneAt, e.u.WrongPath)
-	}
-}
-
-// IQCount exposes the issue-queue occupancy (debug).
-func (b *Backend) IQCount() int { return b.iqCount }
 
 // HasCorrectPathWork reports whether any non-wrong-path uop is in flight —
 // i.e. whether a future commit or flush anchor exists.

@@ -27,7 +27,7 @@ import (
 )
 
 // Params controls run lengths. The paper uses 100M-instruction SimPoints;
-// the defaults here are laptop-scale and configurable from the CLI/server.
+// run lengths here are laptop-scale and set by the CLI/server flags.
 type Params struct {
 	// Warmup instructions before counters reset.
 	Warmup uint64
@@ -49,11 +49,6 @@ type Params struct {
 	// so cache keys derived from Params are unaffected. Runner-dispatched
 	// grids address workloads by name, so every entry must be registered.
 	Runner CellRunner `json:"-"`
-}
-
-// DefaultParams is a laptop-scale default.
-func DefaultParams() Params {
-	return Params{Warmup: 200_000, Measure: 800_000}
 }
 
 // MaxRunInsts bounds warmup+measure per run. It exists so a remote caller
@@ -245,19 +240,6 @@ func MatrixResults(ctx context.Context, entries []*workload.Entry, cfgs []pipeli
 	return out, errors.Join(errs...)
 }
 
-// Matrix evaluates the cross product of workloads × configs in parallel
-// and returns results indexed [workload][config name] — the map form of
-// MatrixResults, which see for the dispatch and partial-results contract.
-// On error the completed cells are still returned (nil only when nothing
-// completed), so cancelled grids no longer discard finished work.
-func Matrix(ctx context.Context, entries []*workload.Entry, cfgs []pipeline.Config, p Params) (map[string]map[string]Result, error) {
-	rs, err := MatrixResults(ctx, entries, cfgs, p)
-	if len(rs) == 0 && err != nil {
-		return nil, err
-	}
-	return rs.Map(), err
-}
-
 func figureEntries() ([]*workload.Entry, error) {
 	var out []*workload.Entry
 	for _, name := range workload.FigureSet() {
@@ -290,15 +272,6 @@ func Figure6Table(ctx context.Context, p Params) (*report.Table, Results, error)
 		t.Add(e.Name, report.F(nodcf.IPC/dcf.IPC), report.F1(dcf.MPKI))
 	}
 	return t, res, nil
-}
-
-// Figure6 renders Figure6Table as text.
-func Figure6(ctx context.Context, w io.Writer, p Params) (map[string]map[string]Result, error) {
-	t, res, err := Figure6Table(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Map(), t.WriteText(w)
 }
 
 // Figure7Table builds "Performance improvement of L-ELF and different
@@ -335,15 +308,6 @@ func Figure7Table(ctx context.Context, p Params) (*report.Table, Results, error)
 	return t, res, nil
 }
 
-// Figure7 renders Figure7Table as text.
-func Figure7(ctx context.Context, w io.Writer, p Params) (map[string]map[string]Result, error) {
-	t, res, err := Figure7Table(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Map(), t.WriteText(w)
-}
-
 // Figure8Table builds "Performance improvement of L-ELF and U-ELF, as well
 // as average number of instructions fetched during a run in coupled mode".
 func Figure8Table(ctx context.Context, p Params) (*report.Table, Results, error) {
@@ -368,15 +332,6 @@ func Figure8Table(ctx context.Context, p Params) (*report.Table, Results, error)
 			report.F1(lelf.AvgCoupled), report.F1(uelf.AvgCoupled))
 	}
 	return t, res, nil
-}
-
-// Figure8 renders Figure8Table as text.
-func Figure8(ctx context.Context, w io.Writer, p Params) (map[string]map[string]Result, error) {
-	t, res, err := Figure8Table(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Map(), t.WriteText(w)
 }
 
 // Figure9Table builds "Speedup (geomean) of NoDCF, L-ELF, U-ELF relative to
@@ -415,15 +370,6 @@ func Figure9Table(ctx context.Context, p Params) (*report.Table, Results, error)
 	}
 	addRow("Geomean", workload.All())
 	return t, res, nil
-}
-
-// Figure9 renders Figure9Table as text.
-func Figure9(ctx context.Context, w io.Writer, p Params) (map[string]map[string]Result, error) {
-	t, res, err := Figure9Table(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Map(), t.WriteText(w)
 }
 
 // FigureTable dispatches to the figure builders by number (6–9) — the

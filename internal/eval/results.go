@@ -89,31 +89,8 @@ func (rs Results) Get(workload, config string) (Result, bool) {
 	return Result{}, false
 }
 
-// ByEntry returns the cells measuring workload, preserving order.
-func (rs Results) ByEntry(workload string) Results {
-	var out Results
-	for _, cr := range rs {
-		if cr.Cell.Workload == workload {
-			out = append(out, cr)
-		}
-	}
-	return out
-}
-
-// ByConfig returns the cells measuring the named configuration,
-// preserving order.
-func (rs Results) ByConfig(config string) Results {
-	var out Results
-	for _, cr := range rs {
-		if cr.Cell.Config.Name() == config {
-			out = append(out, cr)
-		}
-	}
-	return out
-}
-
-// Map reindexes the results as [workload][config name] — the legacy shape
-// the figure payloads and older callers consume.
+// Map reindexes the results as [workload][config name] — the shape elfd's
+// figure payloads carry.
 func (rs Results) Map() map[string]map[string]Result {
 	out := make(map[string]map[string]Result)
 	for _, cr := range rs {

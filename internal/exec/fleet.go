@@ -396,16 +396,11 @@ func (f *Fleet) Run(ctx context.Context, c eval.Cell) (result eval.Result, runEr
 
 	cellName := c.Workload + "/" + c.Config.Name()
 	key := cellKey(c)
-	if f.cfg.Store != nil {
-		if b, ok, _ := f.cfg.Store.Get(key); ok {
-			var r eval.Result
-			if err := json.Unmarshal(b, &r); err == nil {
-				f.record(obs.Event{Kind: obs.EventCacheHit, Cell: cellName,
-					Trace: traceOf(obs.SpanFromContext(ctx))})
-				f.cells.Add(1)
-				return r, nil
-			}
-		}
+	if r, ok := storedResult(f.cfg.Store, key); ok {
+		f.record(obs.Event{Kind: obs.EventCacheHit, Cell: cellName,
+			Trace: traceOf(obs.SpanFromContext(ctx))})
+		f.cells.Add(1)
+		return r, nil
 	}
 	span := f.spans.StartSpan(obs.SpanFromContext(ctx), "cell")
 	if span != nil {
@@ -455,11 +450,7 @@ func (f *Fleet) Run(ctx context.Context, c eval.Cell) (result eval.Result, runEr
 			if f.cellSeconds != nil {
 				f.cellSeconds.Observe(time.Since(start).Seconds())
 			}
-			if f.cfg.Store != nil {
-				if b, err := json.Marshal(r); err == nil {
-					_ = f.cfg.Store.Put(key, b)
-				}
-			}
+			storeResult(f.cfg.Store, key, r)
 			return r, nil
 		}
 		if hop != nil {

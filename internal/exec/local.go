@@ -78,28 +78,50 @@ func NewLocal(cfg LocalConfig) *Local {
 	}
 }
 
-// storeTask wraps a cell task with the persistent store: a stored result
+// CellTask is the one cell read-through behind the scheduler cache,
+// shared by Local and elfd's POST /v1/cells: a result stored under key
 // decodes without simulating (the scheduler still promotes it into its
-// LRU), and a fresh simulation is written back for the next process.
-// Store failures degrade to plain simulation — the store never blocks
-// progress.
-func storeTask(st store.Store, key string, run func(context.Context) (eval.Result, error)) func(context.Context) (any, error) {
+// LRU), otherwise run simulates and the fresh result is written back for
+// restarts and peers. A nil st just runs. Store failures degrade to plain
+// simulation — the store never blocks progress.
+func CellTask(st store.Store, key string, run func(context.Context) (eval.Result, error)) sched.Task {
 	return func(ctx context.Context) (any, error) {
-		if b, ok, _ := st.Get(key); ok {
-			var r eval.Result
-			if err := json.Unmarshal(b, &r); err == nil {
-				return r, nil
-			}
-			// An undecodable value (format drift) is treated as a miss.
+		if r, ok := storedResult(st, key); ok {
+			return r, nil
 		}
 		r, err := run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		if b, err := json.Marshal(r); err == nil {
-			_ = st.Put(key, b)
-		}
+		storeResult(st, key, r)
 		return r, nil
+	}
+}
+
+// storedResult decodes the result stored under key. A nil store, a miss,
+// a read error and an undecodable value (format drift) are all misses.
+func storedResult(st store.Store, key string) (eval.Result, bool) {
+	if st == nil {
+		return eval.Result{}, false
+	}
+	b, ok, _ := st.Get(key)
+	if !ok {
+		return eval.Result{}, false
+	}
+	var r eval.Result
+	if err := json.Unmarshal(b, &r); err != nil {
+		return eval.Result{}, false
+	}
+	return r, true
+}
+
+// storeResult writes r under key, dropping any failure.
+func storeResult(st store.Store, key string, r eval.Result) {
+	if st == nil {
+		return
+	}
+	if b, err := json.Marshal(r); err == nil {
+		_ = st.Put(key, b)
 	}
 }
 
@@ -124,15 +146,9 @@ func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
 	trace := traceOf(obs.SpanFromContext(ctx))
 	start := time.Now()
 	key := cellKey(c)
-	task := func(ctx context.Context) (any, error) {
+	j, err := l.sched.Submit("cell "+cellName, key, CellTask(l.store, key, func(ctx context.Context) (eval.Result, error) {
 		return eval.RunCell(ctx, c, l.probe)
-	}
-	if l.store != nil {
-		task = storeTask(l.store, key, func(ctx context.Context) (eval.Result, error) {
-			return eval.RunCell(ctx, c, l.probe)
-		})
-	}
-	j, err := l.sched.Submit("cell "+cellName, key, task)
+	}))
 	if err != nil {
 		l.failed.Add(1)
 		l.record(obs.Event{Kind: obs.EventError, Worker: "local", Cell: cellName,

@@ -1,11 +1,13 @@
 package obs
 
-// Chrome trace-event export for distributed spans: the same Trace Event
-// JSON dialect internal/pipeline's Tracer.WriteChromeTrace emits for
-// cycle windows, so one viewer (Perfetto / chrome://tracing) renders
-// both. Each fleet worker becomes one Chrome "process" (the coordinator
-// is pid 0), spans become complete "X" slices, and a whole grid run —
-// coordinator plus N workers — lands on one stitched timeline.
+// Chrome trace-event export: the one Trace Event JSON encoder in the
+// module (the dialect chrome://tracing and Perfetto's legacy loader
+// consume). Distributed spans render here directly: each fleet worker
+// becomes one Chrome "process" (the coordinator is pid 0), spans become
+// complete "X" slices, and a whole grid run — coordinator plus N workers
+// — lands on one stitched timeline. Pipeline cycle windows reach the same
+// encoder through internal/eval, which converts a Tracer's records into
+// ChromeEvents, so one viewer renders both.
 
 import (
 	"encoding/json"
@@ -15,9 +17,9 @@ import (
 	"time"
 )
 
-// spanEvent is one trace-event record (mirrors the pipeline exporter's
-// field subset).
-type spanEvent struct {
+// ChromeEvent is one trace-event record. Only the fields the exporters
+// emit.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -28,9 +30,13 @@ type spanEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type spanTrace struct {
-	TraceEvents     []spanEvent `json:"traceEvents"`
-	DisplayTimeUnit string      `json:"displayTimeUnit"`
+// EncodeChromeTrace writes events as one Trace Event JSON object with a
+// millisecond display unit.
+func EncodeChromeTrace(w io.Writer, events []ChromeEvent) error {
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents     []ChromeEvent `json:"traceEvents"`
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+	}{events, "ms"})
 }
 
 // WriteChromeTrace renders finished spans as Trace Event JSON. Workers
@@ -82,7 +88,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, canonical bool) error {
 		pids[a] = i + 1
 	}
 
-	out := spanTrace{DisplayTimeUnit: "ms"}
+	var events []ChromeEvent
 	name := func(pid int) string {
 		if pid == 0 {
 			return "coordinator"
@@ -90,7 +96,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, canonical bool) error {
 		return "worker " + addrs[pid-1]
 	}
 	for pid := 0; pid <= len(addrs); pid++ {
-		out.TraceEvents = append(out.TraceEvents, spanEvent{
+		events = append(events, ChromeEvent{
 			Name: "process_name", Ph: "M", PID: pid, TID: 0,
 			Args: map[string]any{"name": name(pid)},
 		})
@@ -128,12 +134,12 @@ func WriteChromeTrace(w io.Writer, spans []Span, canonical bool) error {
 		if s.Err != "" {
 			cat = "error"
 		}
-		out.TraceEvents = append(out.TraceEvents, spanEvent{
+		events = append(events, ChromeEvent{
 			Name: s.Name, Cat: cat, Ph: "X",
 			TS: ts, Dur: dur, PID: pids[s.Worker], TID: 1, Args: args,
 		})
 	}
-	return json.NewEncoder(w).Encode(out)
+	return EncodeChromeTrace(w, events)
 }
 
 // WriteSpansJSON dumps finished spans as a JSON array — the raw form

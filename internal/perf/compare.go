@@ -6,8 +6,9 @@ import (
 )
 
 // MaxRegression is the blocking throughput-regression threshold: a new
-// record whose geomean cycles/sec falls more than 5% below the baseline
-// fails the comparison (same-host records only).
+// record whose geomean cycles/sec falls more than 5% below the baseline,
+// beyond the wider of the two records' noise bands, fails the comparison
+// (same-host records only).
 const MaxRegression = 0.05
 
 // allocSlack absorbs measurement noise in allocs-per-cycle (a stray
@@ -20,7 +21,7 @@ const allocSlack = 0.001
 type Report struct {
 	// Failures are blocking regressions: IPC drift (deterministic),
 	// allocs/cycle growth (machine-independent), or a same-host
-	// throughput drop beyond MaxRegression.
+	// throughput drop beyond MaxRegression plus the noise band.
 	Failures []string
 	// Warnings are advisory: cross-host wall-clock changes, suite shape
 	// changes.
@@ -89,9 +90,9 @@ func Compare(old, new *Record) *Report {
 			old.CyclesPerSec, new.CyclesPerSec, (ratio-1)*100, old.InstsPerSec, new.InstsPerSec)
 		r.Summary = append(r.Summary, line)
 		if old.Host == new.Host {
-			if ratio < 1-MaxRegression {
-				r.failf("throughput regressed %.1f%% on %s (threshold %.0f%%)",
-					(1-ratio)*100, new.Host.Name, MaxRegression*100)
+			if gate := MaxRegression + max(old.Noise, new.Noise); ratio < 1-gate {
+				r.failf("throughput regressed %.1f%% on %s (threshold %.0f%% + %.1f%% noise)",
+					(1-ratio)*100, new.Host.Name, MaxRegression*100, (gate-MaxRegression)*100)
 			}
 		} else {
 			r.warnf("records are from different hosts (%s/%d vs %s/%d): wall-clock change is advisory only",

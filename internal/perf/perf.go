@@ -17,6 +17,7 @@ import (
 
 	"elfetch/internal/core"
 	"elfetch/internal/pipeline"
+	"elfetch/internal/program"
 	"elfetch/internal/workload"
 )
 
@@ -32,13 +33,22 @@ type Host struct {
 	GoArch    string `json:"go_arch"`
 }
 
+// repeats is how many times Suite.Run measures every cell. The repeats
+// are interleaved — each round measures every cell once — so a slow
+// stretch on the host lands on all cells alike rather than on one.
+const repeats = 5
+
 // Cell is one (workload, config) measurement.
 type Cell struct {
-	Workload     string  `json:"workload"`
-	Config       string  `json:"config"`
-	IPC          float64 `json:"ipc"` // deterministic: must match exactly across hosts
-	Cycles       uint64  `json:"cycles"`
-	CyclesPerSec float64 `json:"cycles_per_sec"` // host-dependent
+	Workload string  `json:"workload"`
+	Config   string  `json:"config"`
+	IPC      float64 `json:"ipc"` // deterministic: must match exactly across hosts
+	Cycles   uint64  `json:"cycles"`
+	// CyclesPerSec is the best of the repeats rounds (minimum wall
+	// clock); host-dependent.
+	CyclesPerSec float64 `json:"cycles_per_sec"`
+	// Spread is the cell's (max-min)/min wall clock across the rounds.
+	Spread float64 `json:"spread,omitempty"`
 }
 
 // Record is one bench-trajectory point.
@@ -52,6 +62,10 @@ type Record struct {
 	// Geomeans over the suite's cells.
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 	InstsPerSec  float64 `json:"insts_per_sec"`
+	// Noise is the record's throughput noise band: 1 - min/max of the
+	// per-round geomean cycles/sec. Compare widens its same-host gate by
+	// it.
+	Noise float64 `json:"noise,omitempty"`
 
 	// Allocation discipline, machine-independent: heap allocations (and
 	// bytes) per simulated cycle across the whole measured region. The
@@ -90,10 +104,11 @@ func DefaultSuite() Suite {
 	}
 }
 
-// Run measures the suite and returns its trajectory point. Machine
-// construction and warmup are excluded from each cell's wall clock; the
-// allocation counters cover only the measured regions, so they report the
-// steady-state loop, not setup.
+// Run measures the suite and returns its trajectory point: repeats
+// interleaved rounds over every cell, keeping each cell's best round and
+// the spread. Machine construction and warmup are excluded from each
+// cell's wall clock; the allocation counters cover only the measured
+// regions, so they report the steady-state loop, not setup.
 func (s Suite) Run(ctx context.Context) (*Record, error) {
 	host, _ := os.Hostname()
 	rec := &Record{
@@ -108,66 +123,97 @@ func (s Suite) Run(ctx context.Context) (*Record, error) {
 		Warmup:  s.Warmup,
 		Measure: s.Measure,
 	}
-	var totalCycles uint64
-	var totalMallocs, totalBytes uint64
-	var ms0, ms1 runtime.MemStats
+	// Cell i simulates progs[i] under cfgs[i].
+	var progs []*program.Program
+	var cfgs []pipeline.Config
 	for _, name := range s.Workloads {
 		e, err := workload.Lookup(name)
 		if err != nil {
 			return nil, err
 		}
-		prog := e.Program()
 		for _, cfg := range s.Configs {
-			m, err := pipeline.New(cfg, prog)
+			progs = append(progs, e.Program())
+			cfgs = append(cfgs, cfg)
+			rec.Cells = append(rec.Cells, Cell{Workload: name, Config: cfg.Name()})
+		}
+	}
+	// walls[r][i] is cell i's measured wall clock in round r.
+	walls := make([][]time.Duration, repeats)
+	var totalCycles, totalMallocs, totalBytes uint64
+	var ms0, ms1 runtime.MemStats
+	for r := range walls {
+		walls[r] = make([]time.Duration, len(rec.Cells))
+		for i := range rec.Cells {
+			c := &rec.Cells[i]
+			m, err := pipeline.New(cfgs[i], progs[i])
 			if err != nil {
 				return nil, err
 			}
 			if _, err := m.RunContext(ctx, s.Warmup); err != nil {
-				return nil, fmt.Errorf("perf: %s/%s warmup: %w", name, cfg.Name(), err)
+				return nil, fmt.Errorf("perf: %s/%s warmup: %w", c.Workload, c.Config, err)
 			}
 			m.ResetStats()
 			runtime.ReadMemStats(&ms0)
 			start := time.Now()
 			st, err := m.RunContext(ctx, s.Measure)
-			wall := time.Since(start)
+			walls[r][i] = time.Since(start)
 			runtime.ReadMemStats(&ms1)
 			if err != nil {
-				return nil, fmt.Errorf("perf: %s/%s: %w", name, cfg.Name(), err)
+				return nil, fmt.Errorf("perf: %s/%s: %w", c.Workload, c.Config, err)
 			}
 			totalMallocs += ms1.Mallocs - ms0.Mallocs
 			totalBytes += ms1.TotalAlloc - ms0.TotalAlloc
 			totalCycles += st.Cycles
-			rec.Cells = append(rec.Cells, Cell{
-				Workload:     name,
-				Config:       cfg.Name(),
-				IPC:          float64(st.Committed) / float64(st.Cycles),
-				Cycles:       st.Cycles,
-				CyclesPerSec: float64(st.Cycles) / wall.Seconds(),
-			})
+			if r > 0 && st.Cycles != c.Cycles {
+				return nil, fmt.Errorf("perf: %s/%s is nondeterministic: %d cycles, then %d",
+					c.Workload, c.Config, c.Cycles, st.Cycles)
+			}
+			c.Cycles = st.Cycles
+			c.IPC = float64(st.Committed) / float64(st.Cycles)
 		}
+	}
+	for i := range rec.Cells {
+		c := &rec.Cells[i]
+		lo, hi := walls[0][i], walls[0][i]
+		for _, w := range walls[1:] {
+			lo, hi = min(lo, w[i]), max(hi, w[i])
+		}
+		c.CyclesPerSec = float64(c.Cycles) / lo.Seconds()
+		c.Spread = float64(hi-lo) / float64(lo)
 	}
 	if totalCycles > 0 {
 		rec.AllocsPerCycle = float64(totalMallocs) / float64(totalCycles)
 		rec.BytesPerCycle = float64(totalBytes) / float64(totalCycles)
 	}
-	rec.CyclesPerSec = geomean(rec.Cells, func(c Cell) float64 { return c.CyclesPerSec })
-	rec.InstsPerSec = geomean(rec.Cells, func(c Cell) float64 { return c.IPC * c.CyclesPerSec })
+	n := len(rec.Cells)
+	rec.CyclesPerSec = geomean(n, func(i int) float64 { return rec.Cells[i].CyclesPerSec })
+	rec.InstsPerSec = geomean(n, func(i int) float64 { return rec.Cells[i].IPC * rec.Cells[i].CyclesPerSec })
+	lo, hi := math.Inf(1), 0.0
+	for _, w := range walls {
+		g := geomean(n, func(i int) float64 { return float64(rec.Cells[i].Cycles) / w[i].Seconds() })
+		lo, hi = math.Min(lo, g), math.Max(hi, g)
+	}
+	if hi > 0 {
+		rec.Noise = 1 - lo/hi
+	}
 	return rec, nil
 }
 
-func geomean(cells []Cell, f func(Cell) float64) float64 {
-	if len(cells) == 0 {
+// geomean is the geometric mean of f over 0..n-1 (0 when n is 0 or any
+// value is non-positive).
+func geomean(n int, f func(int) float64) float64 {
+	if n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, c := range cells {
-		v := f(c)
+	for i := 0; i < n; i++ {
+		v := f(i)
 		if v <= 0 {
 			return 0
 		}
 		sum += math.Log(v)
 	}
-	return math.Exp(sum / float64(len(cells)))
+	return math.Exp(sum / float64(n))
 }
 
 // WriteRecord writes r as indented JSON.

@@ -22,7 +22,8 @@ func TestSuiteRunAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Cells) != 1 || rec.Cells[0].IPC <= 0 || rec.CyclesPerSec <= 0 {
+	if len(rec.Cells) != 1 || rec.Cells[0].IPC <= 0 || rec.CyclesPerSec <= 0 ||
+		rec.Cells[0].Spread < 0 || rec.Noise < 0 || rec.Noise >= 1 {
 		t.Fatalf("implausible record: %+v", rec)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
@@ -33,7 +34,7 @@ func TestSuiteRunAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Cells[0].IPC != rec.Cells[0].IPC || back.CyclesPerSec != rec.CyclesPerSec {
+	if back.Cells[0].IPC != rec.Cells[0].IPC || back.CyclesPerSec != rec.CyclesPerSec || back.Noise != rec.Noise {
 		t.Fatalf("round trip lost data: %+v vs %+v", back, rec)
 	}
 }
@@ -91,6 +92,17 @@ func TestCompareThroughputGate(t *testing.T) {
 	jitter.CyclesPerSec = 970
 	if r := Compare(base, &jitter); !r.OK() {
 		t.Fatalf("3%% jitter must pass: %+v", r.Failures)
+	}
+	// A recorded noise band widens the gate by its width, and no further.
+	noisy := *base
+	noisy.Noise = 0.08
+	noisy.CyclesPerSec = 900 // -10%: inside 5% + 8%
+	if r := Compare(base, &noisy); !r.OK() {
+		t.Fatalf("10%% drop inside a 13%% noise-widened gate must pass: %+v", r.Failures)
+	}
+	noisy.CyclesPerSec = 850 // -15%: past it
+	if r := Compare(base, &noisy); r.OK() {
+		t.Fatal("15% drop past a 13% noise-widened gate not flagged")
 	}
 }
 

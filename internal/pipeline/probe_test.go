@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"elfetch/internal/core"
@@ -127,56 +125,5 @@ func TestFAQHighWater(t *testing.T) {
 	m.ResetStats()
 	if m.FAQHighWater() > hw {
 		t.Errorf("high-water grew across reset: %d", m.FAQHighWater())
-	}
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	m := MustNew(DefaultConfig().WithVariant(core.UELF), branchyProgram(t))
-	m.Run(2_000)
-	tr := NewTracer(512)
-	m.AttachTracer(tr)
-	m.Run(400)
-
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			TS   uint64         `json:"ts"`
-			Dur  uint64         `json:"dur"`
-			TID  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	var slices, metas int
-	for _, e := range out.TraceEvents {
-		switch e.Ph {
-		case "X":
-			slices++
-			if e.Dur == 0 {
-				t.Errorf("complete event %q has zero duration", e.Name)
-			}
-			if e.TID < tidFetch || e.TID > tidBackend {
-				t.Errorf("slice %q on unknown tid %d", e.Name, e.TID)
-			}
-			if _, ok := e.Args["seq"]; !ok {
-				t.Errorf("slice %q missing seq arg", e.Name)
-			}
-		case "M":
-			metas++
-		}
-	}
-	if slices == 0 {
-		t.Fatal("no pipeline slices in the trace")
-	}
-	if metas != 4 { // process name + 3 thread names
-		t.Errorf("metadata events = %d, want 4", metas)
 	}
 }

@@ -42,6 +42,11 @@ var (
 	ErrShutdown  = errors.New("sched: scheduler shut down")
 )
 
+// maxRetainedJobs bounds how many terminal jobs stay reachable through
+// Get. Past it the oldest terminal job is forgotten; queued and running
+// jobs are always kept.
+const maxRetainedJobs = 4096
+
 // Config sizes the scheduler.
 type Config struct {
 	// Workers is the worker-pool size (0 = GOMAXPROCS).
@@ -111,7 +116,8 @@ func (j *Job) Cancel() {
 	j.mu.Unlock()
 }
 
-// finish moves to a terminal state. Caller holds j.mu.
+// finish moves to a terminal state and releases the job's context.
+// Caller holds j.mu.
 func (j *Job) finish(s State, result any, err error) {
 	if j.state.Terminal() {
 		return
@@ -120,6 +126,7 @@ func (j *Job) finish(s State, result any, err error) {
 	j.result = result
 	j.err = err
 	j.finished = time.Now()
+	j.cancel()
 	close(j.done)
 }
 
@@ -252,7 +259,8 @@ type Scheduler struct {
 	wg     sync.WaitGroup
 
 	mu       sync.Mutex
-	jobs     map[string]*Job // every job ever submitted, by id
+	jobs     map[string]*Job // live jobs and the newest terminal ones, by id
+	retired  []*Job          // terminal jobs still in jobs, oldest first
 	inflight map[string]*Job // queued/running cacheable jobs, by key
 	seq      uint64
 	closed   bool
@@ -320,6 +328,7 @@ func (s *Scheduler) Submit(label, key string, task Task) (*Job, error) {
 			j.mu.Lock()
 			j.finish(Done, v, nil)
 			j.mu.Unlock()
+			s.retainLocked(j)
 			return j, nil
 		}
 		if s.met != nil {
@@ -339,6 +348,7 @@ func (s *Scheduler) Submit(label, key string, task Task) (*Job, error) {
 	case s.queue <- j:
 	default:
 		delete(s.jobs, j.id)
+		j.cancel()
 		return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, s.cfg.QueueDepth)
 	}
 	if key != "" {
@@ -372,7 +382,19 @@ func (s *Scheduler) newJobLocked(label, key string) *Job {
 	return j
 }
 
-// Get returns a submitted job by id.
+// retainLocked records j as terminal and forgets the oldest terminal jobs
+// beyond maxRetainedJobs. Caller holds s.mu.
+func (s *Scheduler) retainLocked(j *Job) {
+	s.retired = append(s.retired, j)
+	for len(s.retired) > maxRetainedJobs {
+		delete(s.jobs, s.retired[0].id)
+		s.retired[0] = nil
+		s.retired = s.retired[1:]
+	}
+}
+
+// Get returns a submitted job by id. Only the newest maxRetainedJobs
+// terminal jobs stay reachable.
 func (s *Scheduler) Get(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -481,6 +503,7 @@ func (s *Scheduler) retire(j *Job, state State, seconds float64, ran bool) {
 	if j.key != "" && s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
 	}
+	s.retainLocked(j)
 	if ran {
 		s.running--
 		if s.met != nil {

@@ -349,3 +349,55 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Errorf("entries = %d, want 2", st.Entries)
 	}
 }
+
+// TestTerminalJobRetentionBounded proves cache-hit submits no longer pile
+// up in the job table: terminal jobs beyond maxRetainedJobs are forgotten
+// oldest first, the newest stays reachable through Get, a running job
+// survives the burst, and finished jobs release their contexts.
+func TestTerminalJobRetentionBounded(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	task := func(ctx context.Context) (any, error) { return 1, nil }
+	key := Key("retention")
+	first, err := s.Submit("warm", key, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, first)
+
+	release := make(chan struct{})
+	held, err := s.Submit("held", "", func(ctx context.Context) (any, error) {
+		<-release
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *Job
+	for i := 0; i < 3*maxRetainedJobs; i++ {
+		if last, err = s.Submit("hit", key, task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if n > maxRetainedJobs+1 {
+		t.Fatalf("job table holds %d jobs after %d cached submits, want <= %d",
+			n, 3*maxRetainedJobs, maxRetainedJobs+1)
+	}
+	if _, ok := s.Get(last.ID()); !ok {
+		t.Error("newest job evicted")
+	}
+	if _, ok := s.Get(first.ID()); ok {
+		t.Error("oldest terminal job still retained past the bound")
+	}
+	if _, ok := s.Get(held.ID()); !ok {
+		t.Error("unfinished job evicted")
+	}
+	if last.ctx.Err() == nil || first.ctx.Err() == nil {
+		t.Error("terminal job still holds a live context")
+	}
+	close(release)
+	waitDone(t, held)
+}

@@ -5,27 +5,24 @@
 // completed results across processes and shares them across the fleet
 // instead of re-deriving them (DESIGN.md §15).
 //
-// Four implementations compose behind one interface:
+// Three implementations compose behind one interface:
 //
-//   - Mem: a bounded, byte-accounted LRU over raw result bytes — the
-//     in-process front tier.
 //   - Disk: append-only segment files with length-prefixed, sha256-
 //     checksummed records and an in-memory index rebuilt on open. Torn
 //     or truncated tails (a crash mid-append) are tolerated and logged,
 //     segments rotate atomically at a size threshold, and compaction
 //     drops superseded and over-quota entries.
 //   - Tiered: a front/back pair with read-through promotion (a back-tier
-//     hit is copied into the front) and in-flight singleflight, so
-//     concurrent misses on one key fill once.
+//     hit is copied into the front).
 //   - Peer: an HTTP read-through tier over another process's
 //     GET /v1/cells/{key} endpoint, so fleet workers can peer-fill from
 //     their coordinator before simulating.
 //
-// The production arrangement keeps today's scheduler LRU (decoded
-// values, in-flight coalescing) as the hot memory front and consults the
-// store — typically Disk, optionally Tiered(Disk, Peer) — only when it
-// misses; a store hit skips the simulation entirely and the decoded
-// result is promoted back into the scheduler cache.
+// The scheduler's LRU (decoded values, in-flight coalescing) is the one
+// in-memory tier and the one coalescer: it consults the store — Disk, or
+// Tiered(Disk, Peer) on a worker with -peer — only when it misses; a
+// store hit skips the simulation entirely and the decoded result is
+// promoted back into the scheduler cache.
 //
 // Layering: this package may import internal/obs and nothing else
 // module-internal (enforced by elflint's layering check); values are
@@ -59,7 +56,7 @@ type Store interface {
 
 // TierStats is one tier's point-in-time counter snapshot.
 type TierStats struct {
-	// Tier is "mem", "disk" or "peer".
+	// Tier is "disk" or "peer".
 	Tier string `json:"tier"`
 	// Hits and Misses count Get outcomes.
 	Hits   uint64 `json:"hits"`
@@ -67,8 +64,7 @@ type TierStats struct {
 	// Puts counts fills (values written). On a warm restart a grid that
 	// re-simulates nothing performs zero Puts.
 	Puts uint64 `json:"puts"`
-	// Entries and Bytes size the live set (bytes are record bytes for
-	// disk, value+key bytes for mem).
+	// Entries and Bytes size the live set (record bytes for disk).
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
 	// Compactions counts completed compaction passes (disk only).

@@ -47,64 +47,6 @@ func wantMiss(t *testing.T, s Store, key string) {
 	}
 }
 
-func TestMemRoundTripAndEviction(t *testing.T) {
-	m := NewMem(MemConfig{MaxEntries: 3})
-	defer m.Close()
-	mustPut(t, m, "a", []byte("1"))
-	mustPut(t, m, "b", []byte("2"))
-	mustPut(t, m, "c", []byte("3"))
-	wantGet(t, m, "a", []byte("1")) // touch a: now b is LRU
-	mustPut(t, m, "d", []byte("4"))
-	wantMiss(t, m, "b")
-	wantGet(t, m, "a", []byte("1"))
-	wantGet(t, m, "d", []byte("4"))
-	st := m.Stats()[0]
-	if st.Tier != "mem" || st.Entries != 3 {
-		t.Fatalf("stats = %+v, want tier=mem entries=3", st)
-	}
-}
-
-func TestMemByteBound(t *testing.T) {
-	// Each entry is 1-byte key + 8-byte value = 9 bytes; cap at two
-	// entries' worth.
-	m := NewMem(MemConfig{MaxEntries: 100, MaxBytes: 18})
-	defer m.Close()
-	mustPut(t, m, "a", []byte("12345678"))
-	mustPut(t, m, "b", []byte("12345678"))
-	mustPut(t, m, "c", []byte("12345678"))
-	wantMiss(t, m, "a")
-	wantGet(t, m, "b", []byte("12345678"))
-	wantGet(t, m, "c", []byte("12345678"))
-	if st := m.Stats()[0]; st.Bytes != 18 {
-		t.Fatalf("bytes = %d, want 18", st.Bytes)
-	}
-}
-
-func TestMemReturnsCopies(t *testing.T) {
-	m := NewMem(MemConfig{})
-	defer m.Close()
-	v := []byte("hello")
-	mustPut(t, m, "k", v)
-	v[0] = 'X' // caller's buffer must not alias the stored copy
-	got, _, _ := m.Get("k")
-	if string(got) != "hello" {
-		t.Fatalf("stored value aliased caller buffer: %q", got)
-	}
-	got[0] = 'Y'
-	wantGet(t, m, "k", []byte("hello"))
-}
-
-func TestMemClosed(t *testing.T) {
-	m := NewMem(MemConfig{})
-	m.Close()
-	if err := m.Put("k", nil); err == nil {
-		t.Fatal("Put on closed Mem: want error")
-	}
-	if _, _, err := m.Get("k"); err == nil {
-		t.Fatal("Get on closed Mem: want error")
-	}
-}
-
 func openDisk(t *testing.T, dir string, cfg DiskConfig) *Disk {
 	t.Helper()
 	cfg.Dir = dir
@@ -396,7 +338,7 @@ func TestDiskMetricsAndEvents(t *testing.T) {
 }
 
 func TestTieredPromotion(t *testing.T) {
-	front := NewMem(MemConfig{})
+	front := openDisk(t, t.TempDir(), DiskConfig{})
 	back := openDisk(t, t.TempDir(), DiskConfig{})
 	ti := NewTiered(front, back)
 	defer ti.Close()
@@ -412,71 +354,19 @@ func TestTieredPromotion(t *testing.T) {
 	}
 
 	sts := ti.Stats()
-	if len(sts) != 2 || sts[0].Tier != "mem" || sts[1].Tier != "disk" {
-		t.Fatalf("Stats tiers = %+v, want [mem disk]", sts)
+	if len(sts) != 2 || sts[0].Puts != 1 || sts[1].Puts != 1 || sts[1].Hits != 1 {
+		t.Fatalf("Stats = %+v, want [front: 1 put (the promotion), back: 1 put, 1 hit]", sts)
 	}
 }
 
 func TestTieredPutWritesBoth(t *testing.T) {
-	front := NewMem(MemConfig{})
+	front := openDisk(t, t.TempDir(), DiskConfig{})
 	back := openDisk(t, t.TempDir(), DiskConfig{})
 	ti := NewTiered(front, back)
 	defer ti.Close()
 	mustPut(t, ti, "k", []byte("v"))
 	wantGet(t, front, "k", []byte("v"))
 	wantGet(t, back, "k", []byte("v"))
-}
-
-func TestTieredDoSingleflight(t *testing.T) {
-	front := NewMem(MemConfig{})
-	back := openDisk(t, t.TempDir(), DiskConfig{})
-	ti := NewTiered(front, back)
-	defer ti.Close()
-
-	var fills atomic.Int64
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := ti.Do("k", func() ([]byte, error) {
-				fills.Add(1)
-				<-gate // hold every concurrent caller on one in-progress fill
-				return []byte("filled"), nil
-			})
-			if err != nil || string(v) != "filled" {
-				t.Errorf("Do = %q, %v", v, err)
-			}
-		}()
-	}
-	close(gate)
-	wg.Wait()
-	if n := fills.Load(); n != 1 {
-		t.Fatalf("fill ran %d times, want 1", n)
-	}
-	// After the flight lands, Do serves from the store.
-	v, err := ti.Do("k", func() ([]byte, error) {
-		t.Error("fill ran on a warm key")
-		return nil, nil
-	})
-	if err != nil || string(v) != "filled" {
-		t.Fatalf("warm Do = %q, %v", v, err)
-	}
-}
-
-func TestTieredDoFillError(t *testing.T) {
-	ti := NewTiered(NewMem(MemConfig{}), NewMem(MemConfig{}))
-	defer ti.Close()
-	wantErr := fmt.Errorf("boom")
-	if _, err := ti.Do("k", func() ([]byte, error) { return nil, wantErr }); err != wantErr {
-		t.Fatalf("Do err = %v, want %v", err, wantErr)
-	}
-	// The failure was not cached: the next Do retries the fill.
-	v, err := ti.Do("k", func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || string(v) != "ok" {
-		t.Fatalf("retry Do = %q, %v", v, err)
-	}
 }
 
 func TestPeer(t *testing.T) {

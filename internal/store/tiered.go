@@ -1,37 +1,26 @@
 package store
 
 import (
-	"sync"
+	"sync/atomic"
 )
 
-// Tiered chains a fast front tier over a slower back tier. Reads consult
-// the front first; a back-tier hit is promoted (copied) into the front so
-// repeats stay cheap. Writes go to both tiers. Do adds in-flight
-// singleflight: concurrent misses on one key run the fill function once.
+// Tiered chains a front tier over a back tier — in production a worker's
+// local Disk over its coordinator's Peer. Reads consult the front first;
+// a back-tier hit is promoted (copied) into the front so repeats stay
+// local. Writes go to both tiers. Tiered does not coalesce concurrent
+// misses: the scheduler in front of every store already runs one
+// simulation per key.
 type Tiered struct {
 	front Store
 	back  Store
 
-	mu       sync.Mutex
-	inflight map[string]*flight
-	closed   bool
-}
-
-// flight is one in-progress fill that late arrivals wait on.
-type flight struct {
-	done  chan struct{}
-	value []byte
-	err   error
+	closed atomic.Bool
 }
 
 // NewTiered layers front over back. Both are owned by the returned store:
 // Close closes them (front first).
 func NewTiered(front, back Store) *Tiered {
-	return &Tiered{
-		front:    front,
-		back:     back,
-		inflight: make(map[string]*flight),
-	}
+	return &Tiered{front: front, back: back}
 }
 
 // Get consults the front tier, then the back tier, promoting back-tier
@@ -39,12 +28,9 @@ func NewTiered(front, back Store) *Tiered {
 // other tier is still consulted, and the first error (if any) is
 // reported alongside whatever was found.
 func (t *Tiered) Get(key string) ([]byte, bool, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.closed.Load() {
 		return nil, false, errClosed("tiered")
 	}
-	t.mu.Unlock()
 	v, ok, ferr := t.front.Get(key)
 	if ok {
 		return v, true, nil
@@ -64,57 +50,14 @@ func (t *Tiered) Get(key string) ([]byte, bool, error) {
 // Put writes value into both tiers. The back tier (durable) error wins;
 // a front-tier failure alone does not fail the write.
 func (t *Tiered) Put(key string, value []byte) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.closed.Load() {
 		return errClosed("tiered")
 	}
-	t.mu.Unlock()
 	ferr := t.front.Put(key, value)
 	if err := t.back.Put(key, value); err != nil {
 		return err
 	}
 	return ferr
-}
-
-// Do returns the stored value for key, or runs fill exactly once across
-// concurrent callers to produce and store it. This is the read-through
-// entry point for embedders that do not already coalesce misses (the
-// scheduler does its own coalescing, so the serving path calls Get/Put
-// directly).
-func (t *Tiered) Do(key string, fill func() ([]byte, error)) ([]byte, error) {
-	if v, ok, _ := t.Get(key); ok {
-		return v, nil
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, errClosed("tiered")
-	}
-	if fl, ok := t.inflight[key]; ok {
-		t.mu.Unlock()
-		<-fl.done
-		return fl.value, fl.err
-	}
-	fl := &flight{done: make(chan struct{})}
-	t.inflight[key] = fl
-	t.mu.Unlock()
-
-	// Re-check under the flight: another process may have filled the
-	// store between our miss and claiming the flight.
-	if v, ok, _ := t.Get(key); ok {
-		fl.value = v
-	} else {
-		fl.value, fl.err = fill()
-		if fl.err == nil {
-			fl.err = t.Put(key, fl.value)
-		}
-	}
-	close(fl.done)
-	t.mu.Lock()
-	delete(t.inflight, key)
-	t.mu.Unlock()
-	return fl.value, fl.err
 }
 
 // Stats concatenates per-tier snapshots, front first.
@@ -133,13 +76,9 @@ func (t *Tiered) Compact() error {
 
 // Close closes both tiers, front first, returning the first error.
 func (t *Tiered) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.closed.Swap(true) {
 		return nil
 	}
-	t.closed = true
-	t.mu.Unlock()
 	ferr := t.front.Close()
 	if err := t.back.Close(); err != nil {
 		return err

@@ -26,6 +26,10 @@ go run ./cmd/elflint -checks goroleak,closecheck,lockheld,atomicmix ./...
 # findings — a check that stops firing on its own fixture is dead code.
 go run ./cmd/elflint -fixtures internal/lint/testdata/src
 go test ./...
+# The benchmark module (perfbench/, its own go.mod replacing elfetch with
+# this tree) is built by nothing else outside perfbench/run.sh: vet and
+# test it so a change that breaks the benchmark's use of the API fails here.
+(cd perfbench && go vet ./... && go test ./...)
 go test -race ./internal/sched/... ./internal/eval/... ./internal/exec/... ./internal/obs/... ./internal/pipeline/... ./internal/store/... ./cmd/elfd/...
 # Observability gates, named so a failure is legible on its own: the
 # federation merge golden (the fleet /metrics view is a wire format) and
