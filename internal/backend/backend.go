@@ -84,6 +84,7 @@ type Backend struct {
 	hier *cache.Hierarchy
 
 	rob      []robEntry
+	robMask  uint64 // len(rob)-1 when that is a power of two, else 0
 	robHead  uint64 // oldest absolute id
 	robTail  uint64 // next absolute id
 	iqCount  int
@@ -101,9 +102,15 @@ type Backend struct {
 	deferred []int32 // scratch: port-starved ready entries within a cycle
 
 	// wheel buckets issued entries by completion cycle so complete() does
-	// not scan the whole window every cycle. wheelMask+1 exceeds the
+	// not scan the whole window every cycle. WheelSlots exceeds the
 	// maximum execution latency (memory: 250 cycles).
-	wheel [512][]int32
+	wheel [WheelSlots][]int32
+
+	// stores holds the absolute ids of the in-flight stores, oldest first,
+	// so store-to-load forwarding and the dependence filter scan stores
+	// only. Accept pushes, Commit pops the front, SquashFrom trims the
+	// back.
+	stores *ringq.Queue[uint64]
 
 	mdp MDP
 	// mdpWaiters lists rob slots of loads gated by the dependence filter.
@@ -131,6 +138,10 @@ type Backend struct {
 	DeferredFlushes uint64
 }
 
+// WheelSlots is the completion wheel's size in cycles: an entry due more
+// than one revolution ahead is re-armed each time its bucket comes round.
+const WheelSlots = 512
+
 // New builds a backend over the given memory hierarchy.
 func New(cfg Config, hier *cache.Hierarchy) *Backend {
 	b := &Backend{
@@ -149,9 +160,18 @@ func New(cfg Config, hier *cache.Hierarchy) *Backend {
 		mdpWaiters:         make([]int32, 0, cfg.ROB),
 		retired:            make([]uop.Uop, 0, 2*cfg.CommitWidth),
 		pendingResolutions: ringq.New[Resolution](16),
+		stores:             ringq.New[uint64](cfg.ROB),
 	}
+	if n := uint64(cfg.ROB); n > 1 && n&(n-1) == 0 {
+		b.robMask = n - 1
+	}
+	// The wheel's buckets share one backing array, capped per bucket so a
+	// bucket that outgrows its share reallocates instead of spilling into
+	// the next one.
+	const bucketCap = 16
+	buckets := make([]int32, WheelSlots*bucketCap)
 	for i := range b.wheel {
-		b.wheel[i] = make([]int32, 0, 16)
+		b.wheel[i] = buckets[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
 	}
 	for i := range b.rat {
 		b.rat[i] = -1
@@ -163,7 +183,17 @@ func New(cfg Config, hier *cache.Hierarchy) *Backend {
 	return b
 }
 
-func (b *Backend) slot(id uint64) *robEntry { return &b.rob[id%uint64(len(b.rob))] }
+// slotIndex maps an absolute id to its ROB slot. A power-of-two window
+// (Table II's 256) masks instead of dividing, since every window walk
+// maps ids to slots.
+func (b *Backend) slotIndex(id uint64) int32 {
+	if b.robMask != 0 {
+		return int32(id & b.robMask)
+	}
+	return int32(id % uint64(len(b.rob)))
+}
+
+func (b *Backend) slot(id uint64) *robEntry { return &b.rob[b.slotIndex(id)] }
 
 // ROBFull reports whether another uop can be accepted.
 func (b *Backend) ROBFull() bool { return b.robTail-b.robHead >= uint64(len(b.rob)) }
@@ -174,20 +204,35 @@ func (b *Backend) ROBEmpty() bool { return b.robTail == b.robHead }
 // Occupancy returns the number of in-flight uops.
 func (b *Backend) Occupancy() int { return int(b.robTail - b.robHead) }
 
-// Accept renames and dispatches one uop; it returns false (and leaves the
-// uop untaken) when a resource is exhausted. The caller enforces the
-// rename-width limit per cycle.
-func (b *Backend) Accept(u uop.Uop) bool {
+// CanAccept reports whether Accept would take u this cycle: the ROB and
+// the issue queue have room, and so does the LSQ for a memory uop.
+func (b *Backend) CanAccept(u *uop.Uop) bool {
 	if b.ROBFull() || b.iqCount >= b.cfg.IQ {
 		return false
 	}
-	if u.SI.Class.IsMemory() && b.lsqCount >= b.cfg.LSQ {
+	return !u.SI.Class.IsMemory() || b.lsqCount < b.cfg.LSQ
+}
+
+// Accept renames and dispatches a copy of u; it returns false (and takes
+// nothing) when a resource is exhausted. The caller enforces the
+// rename-width limit per cycle.
+func (b *Backend) Accept(u *uop.Uop) bool {
+	if !b.CanAccept(u) {
 		return false
 	}
 	id := b.robTail
 	e := b.slot(id)
-	*e = robEntry{u: u, id: id, mdpWait: -1, srcProd: [2]int64{-1, -1}}
-	slotIdx := int32(id % uint64(len(b.rob)))
+	// Field by field: a composite literal holding *u would be built in a
+	// temporary and the 256-byte uop copied twice.
+	e.u = *u
+	e.id = id
+	e.state = stWaiting
+	e.pending = 0
+	e.doneAt = 0
+	e.mdpWait = -1
+	e.srcProd = [2]int64{-1, -1}
+	e.addrDone = false
+	slotIdx := b.slotIndex(id)
 	b.depHead[slotIdx] = -1
 
 	// Source dependences through the RAT.
@@ -206,7 +251,7 @@ func (b *Backend) Accept(u uop.Uop) bool {
 		}
 		// Link edge consumer(slotIdx, s) onto producer pid's list.
 		edge := slotIdx*2 + int32(s)
-		pslot := int32(uint64(pid) % uint64(len(b.rob)))
+		pslot := b.slotIndex(uint64(pid))
 		b.depNext[edge] = b.depHead[pslot]
 		b.depHead[pslot] = edge
 		e.srcProd[s] = pid
@@ -217,9 +262,9 @@ func (b *Backend) Accept(u uop.Uop) bool {
 	// the youngest older in-flight store with the recorded store PC.
 	if u.SI.Class == isa.Load && !u.WrongPath {
 		if storePC, ok := b.mdp.Lookup(u.PC); ok {
-			for id2 := b.robTail; id2 > b.robHead; id2-- {
-				se := b.slot(id2 - 1)
-				if se.u.SI.Class == isa.Store && se.u.PC == storePC && !se.addrDone {
+			for i := b.stores.Len() - 1; i >= 0; i-- {
+				se := b.slot(*b.stores.At(i))
+				if se.u.PC == storePC && !se.addrDone {
 					e.mdpWait = int64(se.id)
 					b.mdpWaiters = append(b.mdpWaiters, slotIdx)
 					break
@@ -236,6 +281,9 @@ func (b *Backend) Accept(u uop.Uop) bool {
 	if u.SI.Class.IsMemory() {
 		b.lsqCount++
 	}
+	if u.SI.Class == isa.Store {
+		b.stores.PushBack(id)
+	}
 	if e.pending == 0 && e.mdpWait < 0 {
 		e.state = stReady
 		b.ready = append(b.ready, slotIdx)
@@ -243,10 +291,10 @@ func (b *Backend) Accept(u uop.Uop) bool {
 	return true
 }
 
-// latencyFor returns the execution latency of a uop, performing the data
-// cache access for memory operations (side effects included — wrong-path
-// pollution is the point).
-func (b *Backend) latencyFor(u *uop.Uop) int {
+// latencyFor returns the execution latency of the uop with absolute id
+// id, performing the data cache access for memory operations (side effects
+// included — wrong-path pollution is the point).
+func (b *Backend) latencyFor(u *uop.Uop, id uint64) int {
 	switch u.SI.Class {
 	case isa.MulDiv:
 		return b.cfg.MulDivLat
@@ -256,7 +304,7 @@ func (b *Backend) latencyFor(u *uop.Uop) int {
 		// Store-to-load forwarding: a load whose address matches an
 		// older in-flight store with a resolved address reads the
 		// store buffer instead of the cache (1-cycle bypass).
-		if b.forwardableStore(u) {
+		if b.forwardableStore(u, id) {
 			b.ForwardedLoads++
 			return b.cfg.AGULat + 1
 		}
@@ -274,34 +322,22 @@ func (b *Backend) latencyFor(u *uop.Uop) int {
 	}
 }
 
-// forwardableStore reports an older in-flight store to the same 8-byte
-// slot whose address has resolved — the store-buffer forwarding case.
-func (b *Backend) forwardableStore(u *uop.Uop) bool {
+// forwardableStore reports a store older than the load with absolute id
+// loadID, on the same path, to the same 8-byte slot, whose address has
+// resolved — the store-buffer forwarding case.
+func (b *Backend) forwardableStore(u *uop.Uop, loadID uint64) bool {
 	line := u.MemAddr &^ 7
-	// Walk young→old so the *youngest* matching older store decides.
-	id := b.robTail
-	for id > b.robHead {
-		id--
-		e := b.slot(id)
-		if e.u.FetchID == u.FetchID {
-			// Entries younger than the load are not eligible; restart
-			// the scan below the load itself.
-			continue
+	for i := b.stores.Len() - 1; i >= 0; i-- {
+		id := *b.stores.At(i)
+		if id >= loadID {
+			continue // younger than the load
 		}
-		if e.u.SI.Class == isa.Store && e.addrDone && e.u.MemAddr&^7 == line &&
-			e.u.WrongPath == u.WrongPath && e.id < b.loadID(u) {
+		e := b.slot(id)
+		if e.addrDone && e.u.MemAddr&^7 == line && e.u.WrongPath == u.WrongPath {
 			return true
 		}
 	}
 	return false
-}
-
-// loadID finds the in-flight id of u (scan; loads issue rarely enough).
-func (b *Backend) loadID(u *uop.Uop) uint64 {
-	if id, ok := b.FindByFetchID(u.FetchID); ok {
-		return id
-	}
-	return b.robTail
 }
 
 // Cycle advances the engine: completion/wakeup, then issue.
@@ -313,7 +349,7 @@ func (b *Backend) Cycle(now uint64) {
 // complete finishes executions whose latency elapsed, wakes dependents,
 // and raises resolution events.
 func (b *Backend) complete(now uint64) {
-	slot := now % uint64(len(b.wheel))
+	slot := now % WheelSlots
 	bucket := b.wheel[slot]
 	b.wheel[slot] = bucket[:0]
 	for _, slotIdx32 := range bucket {
@@ -483,9 +519,9 @@ func (b *Backend) issue(now uint64) {
 				fits = true
 			}
 		}
-		// Remove from ready list regardless of fit this cycle? No:
-		// keep unfitting entries for next cycle; but remove to avoid
-		// rescanning — push back after the loop.
+		// Take the entry off the ready list either way, so the selection
+		// scan does not find it again this cycle; a port-starved entry
+		// goes back on the list after the loop.
 		b.ready[bestIdx] = b.ready[len(b.ready)-1]
 		b.ready = b.ready[:len(b.ready)-1]
 		if !fits {
@@ -494,8 +530,8 @@ func (b *Backend) issue(now uint64) {
 			continue
 		}
 		e.state = stIssued
-		e.doneAt = now + uint64(b.latencyFor(&e.u))
-		wslot := e.doneAt % uint64(len(b.wheel))
+		e.doneAt = now + uint64(b.latencyFor(&e.u, e.id))
+		wslot := e.doneAt % WheelSlots
 		b.wheel[wslot] = append(b.wheel[wslot], s)
 		if e.u.WrongPath {
 			b.WrongPathExec++
@@ -506,6 +542,28 @@ func (b *Backend) issue(now uint64) {
 	// Return port-starved entries to the ready list.
 	b.ready = append(b.ready, b.deferred...)
 	b.deferred = b.deferred[:0]
+}
+
+// IdleUntil reports how long the engine will sit idle, for a caller that
+// skips cycles in which nothing can change. ok is false when Commit or
+// Cycle may act at now: a resolution is pending, an entry is ready to
+// issue, or the ROB head is done. Otherwise at is the first cycle in
+// [now, now+WheelSlots) whose completion bucket is non-empty, or
+// now+WheelSlots when the wheel is empty; Commit and Cycle are no-ops on
+// every cycle before at, because only a completion can wake an entry.
+func (b *Backend) IdleUntil(now uint64) (at uint64, ok bool) {
+	if b.pendingResolutions.Len() > 0 || len(b.ready) > 0 {
+		return 0, false
+	}
+	if b.robHead < b.robTail && b.slot(b.robHead).state == stDone {
+		return 0, false
+	}
+	for d := uint64(0); d < WheelSlots; d++ {
+		if len(b.wheel[(now+d)%WheelSlots]) > 0 {
+			return now + d, true
+		}
+	}
+	return now + WheelSlots, true
 }
 
 // LimitCommit fences retirement: entries with id >= limit stay in the ROB
@@ -531,6 +589,9 @@ func (b *Backend) Commit(now uint64) {
 		}
 		if e.u.SI.Class.IsMemory() {
 			b.lsqCount--
+		}
+		if e.u.SI.Class == isa.Store {
+			b.stores.PopFront()
 		}
 		if !e.u.WrongPath {
 			b.retired = append(b.retired, e.u)
@@ -597,6 +658,9 @@ func (b *Backend) SquashFrom(boundary uint64) {
 		e.id = ^uint64(0) // invalidate
 	}
 	b.robTail = boundary
+	for b.stores.Len() > 0 && *b.stores.At(b.stores.Len() - 1) >= boundary {
+		b.stores.PopBack()
+	}
 	// Drop squashed entries from the ready list and dependence edges.
 	kept := b.ready[:0]
 	for _, s := range b.ready {
@@ -644,7 +708,7 @@ func (b *Backend) SquashFrom(boundary uint64) {
 		if e.state != stWaiting {
 			continue
 		}
-		slotIdx := int32(id % uint64(len(b.rob)))
+		slotIdx := b.slotIndex(id)
 		e.pending = 0
 		for s, pid := range e.srcProd {
 			if pid < 0 || uint64(pid) < b.robHead || uint64(pid) >= b.robTail {
@@ -655,7 +719,7 @@ func (b *Backend) SquashFrom(boundary uint64) {
 				continue
 			}
 			edge := slotIdx*2 + int32(s)
-			pslot := int32(uint64(pid) % uint64(len(b.rob)))
+			pslot := b.slotIndex(uint64(pid))
 			b.depNext[edge] = b.depHead[pslot]
 			b.depHead[pslot] = edge
 			e.pending++

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"fmt"
 	"testing"
 
 	"elfetch/internal/cache"
@@ -29,10 +30,10 @@ func st(pc isa.Addr, class isa.Class, dest, s1, s2 isa.Reg) *program.Static {
 }
 
 // mk builds a correct-path uop.
-func (t *bench) mk(si *program.Static) uop.Uop {
+func (t *bench) mk(si *program.Static) *uop.Uop {
 	t.fid++
 	t.seq++
-	return uop.Uop{Seq: t.seq, FetchID: t.fid, PC: si.PC, SI: si}
+	return &uop.Uop{Seq: t.seq, FetchID: t.fid, PC: si.PC, SI: si}
 }
 
 // step runs one machine cycle: commit, execute, issue.
@@ -350,4 +351,90 @@ func TestNoForwardingAcrossDifferentSlots(t *testing.T) {
 	if tb.b.ForwardedLoads != 0 {
 		t.Errorf("forwarded loads = %d, want 0", tb.b.ForwardedLoads)
 	}
+}
+
+// storeRing returns the ids in the store ring and, from a ROB walk, the
+// ids of the stores actually in flight; the two must always agree.
+func storeRing(b *Backend) (ring, inFlight []uint64) {
+	for i := 0; i < b.stores.Len(); i++ {
+		ring = append(ring, *b.stores.At(i))
+	}
+	for id := b.robHead; id < b.robTail; id++ {
+		if b.slot(id).u.SI.Class == isa.Store {
+			inFlight = append(inFlight, id)
+		}
+	}
+	return ring, inFlight
+}
+
+func checkStoreRing(t *testing.T, b *Backend, when string) {
+	t.Helper()
+	ring, inFlight := storeRing(b)
+	if fmt.Sprint(ring) != fmt.Sprint(inFlight) {
+		t.Fatalf("%s: store ring %v, stores in flight %v", when, ring, inFlight)
+	}
+}
+
+// TestStoreRingAcrossSquashAndCommit follows the store ring through a
+// squash and the commits after it, on an 8-entry window so ids wrap onto
+// reused slots quickly. A squashed store's slot goes to a load, which must
+// not forward from the dead store; later a load must not forward from a
+// younger store that took over a slot the ring no longer tracks.
+func TestStoreRingAcrossSquashAndCommit(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ROB, cfg.IQ, cfg.LSQ = 8, 8, 8
+	h := cache.NewHierarchy()
+	tb := &bench{b: New(cfg, h), h: h}
+	const x = 0x7000000
+
+	a := tb.mk(st(0x1000, isa.ALU, 1, 0, 0))
+	s := tb.mk(st(0x1004, isa.Store, 0, 0, 0))
+	s.MemAddr = x
+	tb.b.Accept(a)
+	tb.b.Accept(s)
+	sID := tb.b.NextID() - 1
+	for !tb.b.slot(sID).addrDone {
+		tb.step()
+	}
+	checkStoreRing(t, tb.b, "store resolved")
+
+	tb.b.SquashFrom(sID)
+	checkStoreRing(t, tb.b, "store squashed")
+	l := tb.mk(st(0x1008, isa.Load, 2, 0, 0))
+	l.MemAddr = x
+	tb.b.Accept(l)
+	if tb.b.NextID()-1 != sID {
+		t.Fatalf("load got id %d, want the squashed store's %d", tb.b.NextID()-1, sID)
+	}
+	tb.runUntilDrained(t, 600)
+	if tb.b.ForwardedLoads != 0 {
+		t.Fatalf("load forwarded from a squashed store")
+	}
+	checkStoreRing(t, tb.b, "drained")
+
+	// Wrap the window: an older load waiting on a slow producer, then a
+	// younger store to the same slot that resolves first, sitting in the
+	// slot the squashed store once held.
+	rob := uint64(cfg.ROB)
+	for (tb.b.NextID()+2)%rob != sID%rob {
+		tb.b.Accept(tb.mk(st(0x2000, isa.ALU, 0, 0, 0)))
+	}
+	tb.b.Accept(tb.mk(st(0x2004, isa.MulDiv, 5, 0, 0)))
+	old := tb.mk(st(0x2008, isa.Load, 3, 5, 0))
+	old.MemAddr = x
+	tb.b.Accept(old)
+	young := tb.mk(st(0x200c, isa.Store, 0, 0, 0))
+	young.MemAddr = x
+	if !tb.b.Accept(young) {
+		t.Fatal("window full before the young store")
+	}
+	if tb.b.slot(tb.b.NextID()-1) != tb.b.slot(sID) {
+		t.Fatal("young store did not reuse the squashed store's slot")
+	}
+	checkStoreRing(t, tb.b, "wrapped")
+	tb.runUntilDrained(t, 600)
+	if tb.b.ForwardedLoads != 0 {
+		t.Errorf("older load forwarded from a younger store")
+	}
+	checkStoreRing(t, tb.b, "drained after wrap")
 }

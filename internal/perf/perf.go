@@ -13,6 +13,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"elfetch/internal/core"
@@ -31,6 +32,27 @@ type Host struct {
 	CPUs      int    `json:"cpus"`
 	GoVersion string `json:"go_version"`
 	GoArch    string `json:"go_arch"`
+	// CPUModel is the first "model name" of /proc/cpuinfo (empty where
+	// there is none) and GOMAXPROCS the scheduler width the suite ran
+	// with. Both are omitted when empty, so records written before they
+	// existed still read.
+	CPUModel   string `json:"cpu_model,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+}
+
+// cpuModel returns the host's CPU model name from /proc/cpuinfo, or ""
+// when the file or the field is missing.
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 // repeats is how many times Suite.Run measures every cell. The repeats
@@ -115,10 +137,12 @@ func (s Suite) Run(ctx context.Context) (*Record, error) {
 		Schema:    Schema,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 		Host: Host{
-			Name:      host,
-			CPUs:      runtime.NumCPU(),
-			GoVersion: runtime.Version(),
-			GoArch:    runtime.GOARCH,
+			Name:       host,
+			CPUs:       runtime.NumCPU(),
+			GoVersion:  runtime.Version(),
+			GoArch:     runtime.GOARCH,
+			CPUModel:   cpuModel(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
 		},
 		Warmup:  s.Warmup,
 		Measure: s.Measure,

@@ -2,7 +2,11 @@ package perf
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"elfetch/internal/pipeline"
@@ -115,5 +119,36 @@ func TestCompareFlagsAllocGrowth(t *testing.T) {
 	}
 	if r := Compare(base, base); !r.OK() {
 		t.Fatal("zero-alloc self-compare must pass")
+	}
+}
+
+// TestHostFingerprint: a fresh record names its scheduler width (and its
+// CPU model where /proc/cpuinfo names one), and BENCH_0001.json, written
+// before those fields existed, still reads with them empty.
+func TestHostFingerprint(t *testing.T) {
+	rec, err := tinySuite().Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Host.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Errorf("GOMAXPROCS = %d, want %d", rec.Host.GOMAXPROCS, runtime.GOMAXPROCS(0))
+	}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil &&
+		strings.Contains(string(b), "model name") && rec.Host.CPUModel == "" {
+		t.Error("no CPU model although /proc/cpuinfo names one")
+	}
+	old, err := ReadRecord(filepath.Join("..", "..", "BENCH_0001.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Host.CPUModel != "" || old.Host.GOMAXPROCS != 0 || old.Host.Name == "" {
+		t.Errorf("BENCH_0001.json host read as %+v", old.Host)
+	}
+	b, err := json.Marshal(old.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "cpu_model") || strings.Contains(string(b), "gomaxprocs") {
+		t.Errorf("empty fingerprint fields not omitted: %s", b)
 	}
 }

@@ -88,7 +88,7 @@ func (m *Machine) keep(u *uop.Uop) {
 	if m.tracer != nil {
 		m.tracer.decoded(u.FetchID, m.now)
 	}
-	m.renameQ.PushBack(*u)
+	*m.renameQ.PushSlot() = *u
 }
 
 // frontRedirect points fetch at target starting at cycle `at`, rewinding

@@ -60,13 +60,13 @@ func (m *Machine) fetchCoupled(now uint64) {
 	var lines [2]isa.Addr
 	nLines := 0
 	for i := 0; i < m.cfg.FetchWidth; i++ {
-		u := m.newUop(pc)
+		u := g.grow()
+		m.newUop(u, pc)
 		if elastic {
 			u.Coupled = true
 			m.elf.OnCoupledFetch(1)
 			m.Stats.CoupledFetched++
 		}
-		g.uops = append(g.uops, u)
 		line := pc.Line(m.hier.L0I.LineBytes())
 		if nLines == 0 || lines[nLines-1] != line {
 			lines[nLines] = line
@@ -93,6 +93,14 @@ func (m *Machine) pushGroup() *fetchGroup {
 	g.next = 0
 	g.decodeAt = 0
 	return g
+}
+
+// grow extends the group by one uop and returns it for newUop to fill in
+// place; a group holds at most FetchWidth uops, the capacity its backing
+// array was primed with.
+func (g *fetchGroup) grow() *uop.Uop {
+	g.uops = g.uops[:len(g.uops)+1]
+	return &g.uops[len(g.uops)-1]
 }
 
 // fetchDecoupled consumes FAQ blocks.
@@ -126,10 +134,10 @@ func (m *Machine) fetchDecoupled(now uint64) {
 			break
 		}
 		pc := head.Start.Plus(m.faqOffset)
-		u := m.newUop(pc)
+		u := g.grow()
+		m.newUop(u, pc)
 		u.FromSeqMiss = head.SeqMiss
-		m.bindBlockBranch(&u, head, m.faqOffset)
-		g.uops = append(g.uops, u)
+		m.bindBlockBranch(u, head, m.faqOffset)
 		addLine(pc)
 		m.faqOffset++
 

@@ -270,12 +270,21 @@ func (m *Machine) Run(n uint64) *Stats {
 // simulated cycles it polls ctx and, when the context is done, stops and
 // returns the stats so far alongside ctx.Err(). A wedged machine returns
 // ErrWedged instead of panicking, so servers can survive bad configs.
+//
+// Dead cycles are skipped rather than stepped (deadCycles); the results
+// are those of calling Cycle on every one of them. A skip spans at most
+// one backend wheel revolution, so cancellation is still noticed within
+// abortPollCycles plus backend.WheelSlots cycles.
 func (m *Machine) RunContext(ctx context.Context, n uint64) (*Stats, error) {
 	target := m.Stats.Committed + n
 	limit := m.now + n*100 + 1_000_000 // safety net: IPC 0.01 floor
 	nextPoll := m.now + abortPollCycles
 	for m.Stats.Committed < target && m.now < limit {
-		m.Cycle()
+		if k := m.deadCycles(limit); k > 0 {
+			m.skipDeadCycles(k)
+		} else {
+			m.Cycle()
+		}
 		if m.now >= nextPoll {
 			nextPoll = m.now + abortPollCycles
 			if err := ctx.Err(); err != nil {
@@ -287,6 +296,60 @@ func (m *Machine) RunContext(ctx context.Context, n uint64) (*Stats, error) {
 		return &m.Stats, ErrWedged
 	}
 	return &m.Stats, nil
+}
+
+// deadCycles returns how many cycles from m.now on are dead, never
+// reaching past limit, or 0 when the coming cycle is live. In a dead cycle
+// no stage changes machine state: stepping it would only count one more
+// cycle, one more back-pressured fetch and one more commit-less cycle for
+// the watchdog. The backend is idle until its next completion, rename
+// cannot place the front of the full rename queue, decode is blocked on
+// that queue, fetch is back-pressured, the DCF cannot enqueue and the ELF
+// controller has no period to resynchronize. An attached probe or tracer
+// samples every cycle, so either one turns the skip off. DESIGN.md §17
+// argues each condition.
+func (m *Machine) deadCycles(limit uint64) uint64 {
+	now := m.now
+	if m.probe != nil || m.tracer != nil {
+		return 0
+	}
+	if m.fetchBusyUntil > now || m.redirectAt > now || m.fetchHalted ||
+		m.renameQ.Len() <= m.cfg.FetchWidth*4 || m.be.CanAccept(m.renameQ.Front()) {
+		return 0
+	}
+	if m.dcf != nil {
+		if !m.dcf.Halted() && !m.faq.Full() {
+			return 0
+		}
+		if m.elf.Variant.Elastic() && (m.elf.Mode() != core.Decoupled || m.elf.Draining()) {
+			return 0
+		}
+	}
+	if len(m.pendingPF) > 0 {
+		return 0
+	}
+	at, ok := m.be.IdleUntil(now)
+	if !ok || at == now {
+		return 0
+	}
+	// The watchdog's wrong-path recovery can fire on a commit-less cycle
+	// only when no correct-path uop is in flight anywhere.
+	if m.onWrongPath && !m.be.HasCorrectPathWork() && !m.hasCorrectPathFrontendWork() {
+		return 0
+	}
+	return min(at, limit) - now
+}
+
+// skipDeadCycles advances the clock over k dead cycles and leaves the
+// machine exactly as k calls to Cycle would have.
+func (m *Machine) skipDeadCycles(k uint64) {
+	m.now += k
+	m.hier.SetClock(m.now - 1)
+	m.be.ResetCommitLimit()
+	m.Stats.Cycles += k
+	m.Stats.CycBackpressure += k
+	m.quietCycles += k
+	m.idleCycles = 0
 }
 
 // Cycle advances the machine one clock.
@@ -403,13 +466,16 @@ func (m *Machine) rename(now uint64) {
 	w := m.cfg.Backend.RenameWidth
 	n := 0
 	for n < w && m.renameQ.Len() > 0 {
-		u := *m.renameQ.Front()
+		// Ask before copying: a back-pressured cycle refuses the front uop
+		// without moving its 256 bytes.
+		u := m.renameQ.Front()
+		if !m.be.CanAccept(u) {
+			break
+		}
 		if u.Coupled && u.FetchID <= m.ckptWatermark {
 			u.CkptBound = true
 		}
-		if !m.be.Accept(u) {
-			break
-		}
+		m.be.Accept(u)
 		if m.tracer != nil {
 			m.tracer.renamed(u.FetchID, now)
 		}
@@ -418,11 +484,11 @@ func (m *Machine) rename(now uint64) {
 	}
 }
 
-// newUop materialises the instruction at pc, binding it to the oracle when
-// on the correct path.
-func (m *Machine) newUop(pc isa.Addr) uop.Uop {
+// newUop materialises the instruction at pc into u, binding it to the
+// oracle when on the correct path.
+func (m *Machine) newUop(u *uop.Uop, pc isa.Addr) {
 	m.fetchID++
-	u := uop.Uop{FetchID: m.fetchID, PC: pc, CoupledIdx: -1}
+	*u = uop.Uop{FetchID: m.fetchID, PC: pc, CoupledIdx: -1}
 
 	if !m.onWrongPath {
 		d := m.stream.Get(m.fetchSeq)
@@ -435,9 +501,9 @@ func (m *Machine) newUop(pc isa.Addr) uop.Uop {
 			m.fetchSeq++
 			m.Stats.FetchedUops++
 			if m.tracer != nil {
-				m.tracer.fetched(&u, m.now)
+				m.tracer.fetched(u, m.now)
 			}
-			return u
+			return
 		}
 		m.onWrongPath = true
 	}
@@ -454,9 +520,8 @@ func (m *Machine) newUop(pc isa.Addr) uop.Uop {
 	m.Stats.FetchedUops++
 	m.Stats.WrongPathFetched++
 	if m.tracer != nil {
-		m.tracer.fetched(&u, m.now)
+		m.tracer.fetched(u, m.now)
 	}
-	return u
 }
 
 // resteerFetchTo repoints the oracle binding and the coupled fetch PC.

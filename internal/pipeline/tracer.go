@@ -12,13 +12,18 @@ import (
 // rename, complete, retire/squash) — the raw material for pipeline
 // visualisation (cmd/elfview renders it as a text pipeview). It is nil by
 // default; attach with Machine.AttachTracer. Recording is bounded: once
-// Max events are held, older completed events are dropped.
+// Max events are held, older completed events are dropped. A retirement
+// closes every older open event as squashed (commit order is fetch
+// order), so squashed records cannot pile up and stop a long recording.
 type Tracer struct {
 	// Max bounds retained events (0 = 4096).
 	Max int
 
 	events []TraceEvent
 	open   map[uint64]int // FetchID -> index into events
+	// settled counts the leading events known to be closed: retirement
+	// has passed them.
+	settled int
 }
 
 // TraceEvent is one instruction's lifetime.
@@ -76,6 +81,9 @@ func (t *Tracer) fetched(u *uop.Uop, now uint64) {
 
 // shift removes event i, fixing the open map.
 func (t *Tracer) shift(i int) {
+	if i < t.settled {
+		t.settled--
+	}
 	delete(t.open, t.events[i].FetchID)
 	t.events = append(t.events[:i], t.events[i+1:]...)
 	for fid, idx := range t.open {
@@ -100,6 +108,16 @@ func (t *Tracer) renamed(fid, now uint64) {
 	t.mark(fid, func(e *TraceEvent) { e.Renamed = now }, now)
 }
 func (t *Tracer) retired(fid, now uint64) {
+	// Events are recorded in fetch order and commit is in fetch order, so
+	// every event fetched before this one is retired or dead: close the
+	// open ones as squashed.
+	for ; t.settled < len(t.events) && t.events[t.settled].FetchID < fid; t.settled++ {
+		e := &t.events[t.settled]
+		if _, ok := t.open[e.FetchID]; ok {
+			e.Squashed = true
+			delete(t.open, e.FetchID)
+		}
+	}
 	t.mark(fid, func(e *TraceEvent) {
 		e.Retired = now
 		delete(t.open, e.FetchID)

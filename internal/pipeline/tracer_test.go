@@ -76,3 +76,29 @@ func TestPipeviewEmpty(t *testing.T) {
 		t.Error("empty tracer output")
 	}
 }
+
+// TestTracerKeepsRecordingLongWindows: a small tracer must still hold
+// recent instructions at the end of a long window. Squashed records used
+// to stay open until CloseSquashed, so once Max of them piled up the
+// tracer could drop nothing and stopped recording for good.
+func TestTracerKeepsRecordingLongWindows(t *testing.T) {
+	m := mustWorkloadMachine(t, DefaultConfig(), "641.leela_s")
+	tr := NewTracer(32)
+	m.AttachTracer(tr)
+	const window, recent = 20_000, 1_000
+	for m.Now() < window {
+		m.Cycle()
+	}
+	evs := tr.Events()
+	if len(evs) == 0 || evs[len(evs)-1].Fetched < window-recent {
+		last := uint64(0)
+		if len(evs) > 0 {
+			last = evs[len(evs)-1].Fetched
+		}
+		t.Fatalf("newest of %d records fetched at cycle %d, want one from the last %d of %d cycles",
+			len(evs), last, recent, window)
+	}
+	if m.Stats.Flushes == [len(m.Stats.Flushes)]uint64{} {
+		t.Fatal("no flushes in the window: nothing was squashed, the test proves nothing")
+	}
+}

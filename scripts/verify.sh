@@ -30,6 +30,11 @@ go test ./...
 # this tree) is built by nothing else outside perfbench/run.sh: vet and
 # test it so a change that breaks the benchmark's use of the API fails here.
 (cd perfbench && go vet ./... && go test ./...)
+# Fast-forward gates (DESIGN.md §17): RunContext's dead-cycle skip must
+# leave every counter exactly as the stepped cycle loop does, cancel
+# promptly mid-skip, and keep steady state (skip and store ring included)
+# allocation-free.
+go test -count=1 -run 'TestFastForwardExact|TestSteadyStateZeroAllocs' ./internal/pipeline/ .
 go test -race ./internal/sched/... ./internal/eval/... ./internal/exec/... ./internal/obs/... ./internal/pipeline/... ./internal/store/... ./cmd/elfd/...
 # Observability gates, named so a failure is legible on its own: the
 # federation merge golden (the fleet /metrics view is a wire format) and
